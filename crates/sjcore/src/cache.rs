@@ -1,28 +1,27 @@
-//! Opt-in LRU cache of intermediate derivation results (§5.4).
+//! Cost-budgeted LRU caching, and the opt-in intermediate-result cache
+//! built on it (§5.4).
+//!
+//! [`Lru`] is the one cache for owned values in the system: the service's
+//! result and plan caches and the router's plan and route caches are all
+//! instances of it, each with its own notion of cost (bytes of rows, or
+//! one per entry under a fixed cap).
 //!
 //! Two derivation sequences that perform the same expensive derivation
 //! should compute it only once. The plan executor fingerprints every plan
 //! node; when caching is enabled, a node's materialized rows are stored
-//! under that fingerprint and reused by later executions. Capacity is
-//! bounded in bytes with least-recently-used eviction, and entries may
-//! optionally spill to non-volatile storage.
+//! in a [`ResultCache`] under that fingerprint and reused by later
+//! executions. Capacity is bounded in bytes with least-recently-used
+//! eviction, and entries may optionally spill to non-volatile storage.
 
 use crate::error::{Result, SjError};
 use crate::row::Row;
 use crate::schema::Schema;
 use parking_lot::Mutex;
 use sjdf::ByteSize;
-use std::collections::HashMap;
-use std::path::PathBuf;
-
-/// One cached materialization.
-#[derive(Debug, Clone)]
-struct Entry {
-    schema: Schema,
-    rows: Vec<Row>,
-    bytes: usize,
-    last_used: u64,
-}
+use std::collections::{BTreeMap, HashMap};
+use std::hash::Hash;
+use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 /// Cache statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -31,32 +30,152 @@ pub struct CacheStats {
     pub hits: u64,
     /// Failed lookups.
     pub misses: u64,
-    /// Entries evicted by the LRU policy.
+    /// Entries evicted to fit the budget.
     pub evictions: u64,
+    /// Entries currently held.
+    pub entries: usize,
+    /// Total cost of the entries currently held.
+    pub cost: usize,
 }
 
-/// LRU intermediate-result cache keyed by plan-node fingerprints.
-#[derive(Debug)]
-pub struct ResultCache {
-    inner: Mutex<CacheInner>,
-    capacity_bytes: usize,
-    spill_dir: Option<PathBuf>,
+struct Slot<V> {
+    value: Arc<V>,
+    cost: usize,
+    /// Recency tick of the last insert or hit; the key of `order`.
+    tick: u64,
 }
 
-#[derive(Debug, Default)]
-struct CacheInner {
-    entries: HashMap<u64, Entry>,
-    bytes: usize,
+struct LruInner<K, V> {
+    slots: HashMap<K, Slot<V>>,
+    /// Recency index: tick → key. The first entry is the eviction victim.
+    order: BTreeMap<u64, K>,
     clock: u64,
     stats: CacheStats,
+}
+
+/// A thread-safe least-recently-used cache bounded by the total cost of
+/// its entries. Values are shared: a hit hands out the cached `Arc`, never
+/// a copy.
+pub struct Lru<K, V> {
+    inner: Mutex<LruInner<K, V>>,
+    budget: usize,
+}
+
+impl<K, V> Lru<K, V> {
+    /// An empty cache holding entries of total cost at most `budget`.
+    pub fn new(budget: usize) -> Self {
+        Lru {
+            inner: Mutex::new(LruInner {
+                slots: HashMap::new(),
+                order: BTreeMap::new(),
+                clock: 0,
+                stats: CacheStats::default(),
+            }),
+            budget,
+        }
+    }
+
+    /// Drop every entry. Hit, miss and eviction counters are kept.
+    pub fn clear(&self) {
+        let mut inner = self.inner.lock();
+        inner.slots.clear();
+        inner.order.clear();
+        inner.stats.cost = 0;
+    }
+
+    /// Current statistics.
+    pub fn stats(&self) -> CacheStats {
+        let inner = self.inner.lock();
+        CacheStats {
+            entries: inner.slots.len(),
+            ..inner.stats
+        }
+    }
+}
+
+impl<K: Eq + Hash + Clone, V> Lru<K, V> {
+    /// Look up `key`, counting a hit or a miss. A hit becomes the most
+    /// recently used entry.
+    pub fn get(&self, key: &K) -> Option<Arc<V>> {
+        let mut guard = self.inner.lock();
+        let inner = &mut *guard;
+        let Some(slot) = inner.slots.get_mut(key) else {
+            inner.stats.misses += 1;
+            return None;
+        };
+        inner.clock += 1;
+        let k = inner
+            .order
+            .remove(&slot.tick)
+            .expect("every slot is indexed under its tick");
+        inner.order.insert(inner.clock, k);
+        slot.tick = inner.clock;
+        inner.stats.hits += 1;
+        Some(Arc::clone(&slot.value))
+    }
+
+    /// Insert `value` under `key` at `cost`, evicting least-recently-used
+    /// entries until the total fits the budget. If `key` is already
+    /// present its value wins and is returned: racing inserts of the same
+    /// key all get one shared value. A value costlier than the whole
+    /// budget is returned but not kept.
+    pub fn insert(&self, key: K, value: V, cost: usize) -> Arc<V> {
+        let mut guard = self.inner.lock();
+        let inner = &mut *guard;
+        if let Some(slot) = inner.slots.get(&key) {
+            return Arc::clone(&slot.value);
+        }
+        let value = Arc::new(value);
+        if cost > self.budget {
+            return value;
+        }
+        inner.clock += 1;
+        inner.order.insert(inner.clock, key.clone());
+        let slot = Slot {
+            value: Arc::clone(&value),
+            cost,
+            tick: inner.clock,
+        };
+        inner.slots.insert(key, slot);
+        inner.stats.cost += cost;
+        while inner.stats.cost > self.budget {
+            let Some((_, victim)) = inner.order.pop_first() else {
+                break;
+            };
+            if let Some(evicted) = inner.slots.remove(&victim) {
+                inner.stats.cost -= evicted.cost;
+                inner.stats.evictions += 1;
+            }
+        }
+        value
+    }
+}
+
+impl<K, V> std::fmt::Debug for Lru<K, V> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Lru")
+            .field("budget", &self.budget)
+            .field("stats", &self.stats())
+            .finish()
+    }
+}
+
+/// A plan node's materialization: its schema and rows.
+pub type Materialized = (Schema, Vec<Row>);
+
+/// LRU intermediate-result cache keyed by plan-node fingerprints, with the
+/// paper's optional non-volatile spill.
+#[derive(Debug)]
+pub struct ResultCache {
+    lru: Lru<u64, Materialized>,
+    spill_dir: Option<PathBuf>,
 }
 
 impl ResultCache {
     /// In-memory cache bounded to `capacity_bytes`.
     pub fn new(capacity_bytes: usize) -> Self {
         ResultCache {
-            inner: Mutex::new(CacheInner::default()),
-            capacity_bytes,
+            lru: Lru::new(capacity_bytes),
             spill_dir: None,
         }
     }
@@ -67,266 +186,48 @@ impl ResultCache {
         let dir = dir.into();
         std::fs::create_dir_all(&dir).map_err(|e| SjError::Io(e.to_string()))?;
         Ok(ResultCache {
-            inner: Mutex::new(CacheInner::default()),
-            capacity_bytes,
+            lru: Lru::new(capacity_bytes),
             spill_dir: Some(dir),
         })
     }
 
-    /// Look up a materialization by fingerprint. Falls back to the spill
-    /// directory when the entry is not in memory.
-    pub fn get(&self, key: u64) -> Option<(Schema, Vec<Row>)> {
-        let mut inner = self.inner.lock();
-        inner.clock += 1;
-        let clock = inner.clock;
-        if let Some(e) = inner.entries.get_mut(&key) {
-            e.last_used = clock;
-            let out = (e.schema.clone(), e.rows.clone());
-            inner.stats.hits += 1;
-            return Some(out);
+    /// Look up a materialization by fingerprint. An entry missing from
+    /// memory is read back from the spill directory, if configured, and
+    /// kept in memory again.
+    pub fn get(&self, key: u64) -> Option<Arc<Materialized>> {
+        if let Some(hit) = self.lru.get(&key) {
+            return Some(hit);
         }
-        // Spill lookup.
-        if let Some(dir) = &self.spill_dir {
-            let path = dir.join(format!("{key:016x}.json"));
-            if let Ok(text) = std::fs::read_to_string(&path) {
-                if let Ok((schema, rows)) = serde_json::from_str::<(Schema, Vec<Row>)>(&text) {
-                    inner.stats.hits += 1;
-                    return Some((schema, rows));
-                }
-            }
-        }
-        inner.stats.misses += 1;
-        None
+        let text = std::fs::read_to_string(spill_path(self.spill_dir.as_ref()?, key)).ok()?;
+        let (schema, rows) = serde_json::from_str(&text).ok()?;
+        Some(self.keep(key, schema, rows))
     }
 
-    /// Insert a materialization. Entries larger than the whole capacity
-    /// are not cached in memory (but still spill if configured).
-    pub fn put(&self, key: u64, schema: Schema, rows: Vec<Row>) {
-        let bytes = rows.iter().map(ByteSize::byte_size).sum::<usize>();
+    /// Insert a materialization and return the shared cached value (an
+    /// earlier entry for `key` wins). Entries larger than the whole
+    /// capacity are not kept in memory, but still spill if configured.
+    pub fn insert(&self, key: u64, schema: Schema, rows: Vec<Row>) -> Arc<Materialized> {
         if let Some(dir) = &self.spill_dir {
-            let path = dir.join(format!("{key:016x}.json"));
             if let Ok(text) = serde_json::to_string(&(&schema, &rows)) {
-                let _ = std::fs::write(path, text);
+                let _ = std::fs::write(spill_path(dir, key), text);
             }
         }
-        if bytes > self.capacity_bytes {
-            return;
-        }
-        let mut inner = self.inner.lock();
-        inner.clock += 1;
-        let clock = inner.clock;
-        if let Some(old) = inner.entries.insert(
-            key,
-            Entry {
-                schema,
-                rows,
-                bytes,
-                last_used: clock,
-            },
-        ) {
-            inner.bytes -= old.bytes;
-        }
-        inner.bytes += bytes;
-        // Evict least-recently-used entries until within capacity.
-        while inner.bytes > self.capacity_bytes {
-            let Some((&victim, _)) = inner.entries.iter().min_by_key(|(_, e)| e.last_used) else {
-                break;
-            };
-            if let Some(e) = inner.entries.remove(&victim) {
-                inner.bytes -= e.bytes;
-                inner.stats.evictions += 1;
-            }
-        }
+        self.keep(key, schema, rows)
     }
 
-    /// Current statistics.
+    fn keep(&self, key: u64, schema: Schema, rows: Vec<Row>) -> Arc<Materialized> {
+        let bytes = rows.iter().map(ByteSize::byte_size).sum();
+        self.lru.insert(key, (schema, rows), bytes)
+    }
+
+    /// Statistics of the in-memory cache; `cost` is its size in bytes.
     pub fn stats(&self) -> CacheStats {
-        self.inner.lock().stats
-    }
-
-    /// Number of in-memory entries.
-    pub fn len(&self) -> usize {
-        self.inner.lock().entries.len()
-    }
-
-    /// True if the in-memory cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Total bytes held in memory.
-    pub fn bytes(&self) -> usize {
-        self.inner.lock().bytes
+        self.lru.stats()
     }
 }
 
-// ---------------------------------------------------------------------------
-// Tiered cache: hot LRU + compressed cold tier (§9 future work)
-// ---------------------------------------------------------------------------
-
-/// Statistics of the tiered cache.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TierStats {
-    /// Lookups served from the hot tier.
-    pub hot_hits: u64,
-    /// Lookups served from the cold (compressed) tier.
-    pub cold_hits: u64,
-    /// Lookups that missed both tiers.
-    pub misses: u64,
-    /// Entries demoted from hot to cold.
-    pub demotions: u64,
-    /// Entries dropped from the cold tier.
-    pub cold_evictions: u64,
-}
-
-#[derive(Debug)]
-struct ColdEntry {
-    compressed: Vec<u8>,
-    last_used: u64,
-}
-
-#[derive(Debug, Default)]
-struct TieredInner {
-    hot: HashMap<u64, Entry>,
-    hot_bytes: usize,
-    cold: HashMap<u64, ColdEntry>,
-    cold_bytes: usize,
-    clock: u64,
-    stats: TierStats,
-}
-
-/// The storage cache hierarchy the paper's conclusion envisions: a hot
-/// in-memory LRU tier whose evicted entries are *compressed* and demoted
-/// to a bounded cold tier instead of being discarded. Cold hits are
-/// decompressed and promoted back to hot.
-#[derive(Debug)]
-pub struct TieredCache {
-    inner: Mutex<TieredInner>,
-    hot_capacity: usize,
-    cold_capacity: usize,
-}
-
-impl TieredCache {
-    /// A tiered cache with the given per-tier byte capacities (the cold
-    /// capacity bounds *compressed* bytes).
-    pub fn new(hot_capacity: usize, cold_capacity: usize) -> Self {
-        TieredCache {
-            inner: Mutex::new(TieredInner::default()),
-            hot_capacity,
-            cold_capacity,
-        }
-    }
-
-    /// Look up a materialization; cold hits are promoted back to hot.
-    pub fn get(&self, key: u64) -> Option<(Schema, Vec<Row>)> {
-        let mut inner = self.inner.lock();
-        inner.clock += 1;
-        let clock = inner.clock;
-        if let Some(e) = inner.hot.get_mut(&key) {
-            e.last_used = clock;
-            let out = (e.schema.clone(), e.rows.clone());
-            inner.stats.hot_hits += 1;
-            return Some(out);
-        }
-        if let Some(ce) = inner.cold.remove(&key) {
-            inner.cold_bytes -= ce.compressed.len();
-            let decoded = crate::compress::decompress(&ce.compressed)?;
-            let (schema, rows): (Schema, Vec<Row>) = serde_json::from_slice(&decoded).ok()?;
-            inner.stats.cold_hits += 1;
-            drop(inner);
-            self.put(key, schema.clone(), rows.clone());
-            return Some((schema, rows));
-        }
-        inner.stats.misses += 1;
-        None
-    }
-
-    /// Insert into the hot tier, demoting LRU victims to the cold tier.
-    pub fn put(&self, key: u64, schema: Schema, rows: Vec<Row>) {
-        let bytes = rows.iter().map(ByteSize::byte_size).sum::<usize>();
-        if bytes > self.hot_capacity {
-            // Straight to cold.
-            self.demote(key, &schema, &rows);
-            return;
-        }
-        let mut inner = self.inner.lock();
-        inner.clock += 1;
-        let clock = inner.clock;
-        if let Some(old) = inner.hot.insert(
-            key,
-            Entry {
-                schema,
-                rows,
-                bytes,
-                last_used: clock,
-            },
-        ) {
-            inner.hot_bytes -= old.bytes;
-        }
-        inner.hot_bytes += bytes;
-        while inner.hot_bytes > self.hot_capacity {
-            let Some((&victim, _)) = inner.hot.iter().min_by_key(|(_, e)| e.last_used) else {
-                break;
-            };
-            let Some(e) = inner.hot.remove(&victim) else {
-                break;
-            };
-            inner.hot_bytes -= e.bytes;
-            inner.stats.demotions += 1;
-            drop(inner);
-            self.demote(victim, &e.schema, &e.rows);
-            inner = self.inner.lock();
-        }
-    }
-
-    fn demote(&self, key: u64, schema: &Schema, rows: &[Row]) {
-        let Ok(encoded) = serde_json::to_vec(&(schema, rows)) else {
-            return;
-        };
-        let compressed = crate::compress::compress(&encoded);
-        if compressed.len() > self.cold_capacity {
-            return;
-        }
-        let mut inner = self.inner.lock();
-        inner.clock += 1;
-        let clock = inner.clock;
-        if let Some(old) = inner.cold.insert(
-            key,
-            ColdEntry {
-                compressed,
-                last_used: clock,
-            },
-        ) {
-            inner.cold_bytes -= old.compressed.len();
-        }
-        inner.cold_bytes += inner.cold.get(&key).map_or(0, |e| e.compressed.len());
-        while inner.cold_bytes > self.cold_capacity {
-            let Some((&victim, _)) = inner.cold.iter().min_by_key(|(_, e)| e.last_used) else {
-                break;
-            };
-            if let Some(e) = inner.cold.remove(&victim) {
-                inner.cold_bytes -= e.compressed.len();
-                inner.stats.cold_evictions += 1;
-            }
-        }
-    }
-
-    /// Current statistics.
-    pub fn stats(&self) -> TierStats {
-        self.inner.lock().stats
-    }
-
-    /// (hot entries, cold entries).
-    pub fn tier_lens(&self) -> (usize, usize) {
-        let inner = self.inner.lock();
-        (inner.hot.len(), inner.cold.len())
-    }
-
-    /// (hot bytes, compressed cold bytes).
-    pub fn tier_bytes(&self) -> (usize, usize) {
-        let inner = self.inner.lock();
-        (inner.hot_bytes, inner.cold_bytes)
-    }
+fn spill_path(dir: &Path, key: u64) -> PathBuf {
+    dir.join(format!("{key:016x}.json"))
 }
 
 #[cfg(test)]
@@ -351,107 +252,127 @@ mod tests {
     }
 
     #[test]
-    fn put_get_round_trip() {
-        let c = ResultCache::new(1 << 20);
-        c.put(42, schema(), rows(3));
-        let (s, r) = c.get(42).unwrap();
-        assert_eq!(s, schema());
-        assert_eq!(r.len(), 3);
-        assert_eq!(c.stats().hits, 1);
-        assert!(c.get(43).is_none());
-        assert_eq!(c.stats().misses, 1);
-    }
-
-    #[test]
     fn lru_evicts_least_recently_used() {
-        // Each 10-row entry is ~400 bytes; capacity fits two.
-        let entry_bytes = rows(10).iter().map(ByteSize::byte_size).sum::<usize>();
-        let c = ResultCache::new(entry_bytes * 2 + 10);
-        c.put(1, schema(), rows(10));
-        c.put(2, schema(), rows(10));
+        let c = Lru::new(2);
+        c.insert(1, "a", 1);
+        c.insert(2, "b", 1);
         // Touch 1 so 2 becomes the LRU victim.
-        c.get(1).unwrap();
-        c.put(3, schema(), rows(10));
-        assert!(c.get(1).is_some());
-        assert!(c.get(2).is_none());
-        assert!(c.get(3).is_some());
-        assert_eq!(c.stats().evictions, 1);
-        assert!(c.bytes() <= entry_bytes * 2 + 10);
+        c.get(&1).unwrap();
+        c.insert(3, "c", 1);
+        assert!(c.get(&1).is_some());
+        assert!(c.get(&2).is_none());
+        assert!(c.get(&3).is_some());
+        let s = c.stats();
+        assert_eq!((s.evictions, s.entries, s.cost), (1, 2, 2));
     }
 
     #[test]
-    fn oversized_entries_are_not_cached() {
-        let c = ResultCache::new(10);
-        c.put(1, schema(), rows(100));
-        assert!(c.get(1).is_none());
-        assert_eq!(c.len(), 0);
-    }
-
-    #[test]
-    fn replacing_an_entry_adjusts_bytes() {
-        let c = ResultCache::new(1 << 20);
-        c.put(1, schema(), rows(100));
-        let b1 = c.bytes();
-        c.put(1, schema(), rows(10));
-        assert!(c.bytes() < b1);
-        assert_eq!(c.len(), 1);
-    }
-
-    #[test]
-    fn tiered_cache_demotes_to_cold_and_promotes_back() {
-        let entry_bytes = rows(50).iter().map(ByteSize::byte_size).sum::<usize>();
-        // Hot fits one entry; cold is generous.
-        let c = TieredCache::new(entry_bytes + 8, 1 << 20);
-        c.put(1, schema(), rows(50));
-        c.put(2, schema(), rows(50)); // evicts 1 -> cold (compressed)
-        let (hot, cold) = c.tier_lens();
-        assert_eq!((hot, cold), (1, 1));
-        assert_eq!(c.stats().demotions, 1);
-        // Cold bytes are compressed: much smaller than raw.
-        let (_, cold_bytes) = c.tier_bytes();
-        assert!(cold_bytes < entry_bytes, "{cold_bytes} vs {entry_bytes}");
-        // Fetching 1 hits cold and promotes it back to hot (evicting 2).
-        let (_, r) = c.get(1).expect("cold hit");
-        assert_eq!(r.len(), 50);
-        assert_eq!(c.stats().cold_hits, 1);
-        let (hot, _) = c.tier_lens();
-        assert_eq!(hot, 1);
-        // And now 1 is a hot hit.
-        c.get(1).unwrap();
-        assert_eq!(c.stats().hot_hits, 1);
-    }
-
-    #[test]
-    fn tiered_cache_bounds_the_cold_tier() {
-        let entry_bytes = rows(50).iter().map(ByteSize::byte_size).sum::<usize>();
-        // Tiny tiers: cold holds roughly one compressed entry.
-        let compressed_size = {
-            let encoded = serde_json::to_vec(&(schema(), rows(50))).unwrap();
-            crate::compress::compress(&encoded).len()
-        };
-        let c = TieredCache::new(entry_bytes + 8, compressed_size + 16);
-        for k in 0..6 {
-            c.put(k, schema(), rows(50));
+    fn lru_evicts_as_many_entries_as_the_budget_needs() {
+        let c = Lru::new(10);
+        for k in 0..5 {
+            c.insert(k, k, 2);
         }
-        let (_, cold_bytes) = c.tier_bytes();
-        assert!(cold_bytes <= compressed_size + 16);
-        assert!(c.stats().cold_evictions > 0);
+        c.insert(9, 9, 7);
+        let s = c.stats();
+        assert_eq!((s.entries, s.cost, s.evictions), (2, 9, 4));
+        assert!(c.get(&4).is_some(), "the newest small entry survives");
     }
 
     #[test]
-    fn tiered_cache_miss_is_counted() {
-        let c = TieredCache::new(1 << 20, 1 << 20);
-        assert!(c.get(99).is_none());
-        assert_eq!(c.stats().misses, 1);
+    fn oversized_values_are_returned_but_not_kept() {
+        let c = Lru::new(10);
+        let v = c.insert(1, "big", 11);
+        assert_eq!(*v, "big");
+        assert!(c.get(&1).is_none());
+        assert_eq!(c.stats().entries, 0);
+        assert_eq!(c.stats().cost, 0);
     }
 
     #[test]
-    fn oversized_hot_entries_go_straight_to_cold() {
-        let c = TieredCache::new(64, 1 << 20);
-        c.put(5, schema(), rows(100));
-        let (hot, cold) = c.tier_lens();
-        assert_eq!((hot, cold), (0, 1));
-        assert!(c.get(5).is_some());
+    fn reinserting_a_present_key_keeps_the_first_value_and_cost() {
+        let c = Lru::new(100);
+        let first = c.insert(1, "a", 5);
+        let second = c.insert(1, "b", 7);
+        assert!(Arc::ptr_eq(&first, &second));
+        assert_eq!(*second, "a");
+        let s = c.stats();
+        assert_eq!((s.entries, s.cost, s.evictions), (1, 5, 0));
+    }
+
+    #[test]
+    fn racing_inserts_of_one_key_share_the_first_value() {
+        let c = Lru::new(100);
+        let winners: Vec<Arc<usize>> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..8)
+                .map(|t| {
+                    let c = &c;
+                    s.spawn(move || c.insert("k", t, 1))
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        let cached = c.get(&"k").unwrap();
+        assert!(winners.iter().all(|w| Arc::ptr_eq(w, &cached)));
+        assert_eq!(c.stats().cost, 1);
+    }
+
+    #[test]
+    fn hits_share_one_value() {
+        let c = Lru::new(100);
+        c.insert(1, vec![1, 2, 3], 3);
+        let a = c.get(&1).unwrap();
+        let b = c.get(&1).unwrap();
+        assert!(Arc::ptr_eq(&a, &b));
+    }
+
+    #[test]
+    fn clear_drops_entries_but_keeps_counters() {
+        let c = Lru::new(100);
+        c.insert(1, (), 4);
+        c.insert(2, (), 4);
+        c.get(&1).unwrap();
+        c.clear();
+        assert!(c.get(&1).is_none());
+        let s = c.stats();
+        assert_eq!((s.entries, s.cost, s.hits, s.misses), (0, 0, 1, 1));
+        c.insert(1, (), 4);
+        assert!(c.get(&1).is_some());
+    }
+
+    #[test]
+    fn stats_count_hits_misses_and_evictions() {
+        let c = Lru::new(1);
+        assert!(c.get(&1).is_none());
+        c.insert(1, (), 1);
+        c.get(&1).unwrap();
+        c.get(&1).unwrap();
+        c.insert(2, (), 1);
+        assert_eq!(
+            c.stats(),
+            CacheStats {
+                hits: 2,
+                misses: 1,
+                evictions: 1,
+                entries: 1,
+                cost: 1,
+            }
+        );
+    }
+
+    #[test]
+    fn result_cache_round_trip_costs_row_bytes() {
+        let c = ResultCache::new(1 << 20);
+        c.insert(42, schema(), rows(3));
+        let hit = c.get(42).unwrap();
+        assert_eq!(hit.0, schema());
+        assert_eq!(hit.1.len(), 3);
+        assert!(c.get(43).is_none());
+        let s = c.stats();
+        assert_eq!((s.hits, s.misses, s.entries), (1, 1, 1));
+        assert_eq!(
+            s.cost,
+            rows(3).iter().map(ByteSize::byte_size).sum::<usize>()
+        );
     }
 
     #[test]
@@ -459,12 +380,12 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("sj-cache-test-{}", std::process::id()));
         {
             let c = ResultCache::with_spill(1 << 20, &dir).unwrap();
-            c.put(7, schema(), rows(4));
+            c.insert(7, schema(), rows(4));
         }
         {
             let c = ResultCache::with_spill(1 << 20, &dir).unwrap();
-            let (_, r) = c.get(7).expect("spilled entry should be readable");
-            assert_eq!(r.len(), 4);
+            let hit = c.get(7).expect("spilled entry should be readable");
+            assert_eq!(hit.1.len(), 4);
         }
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -12,7 +12,7 @@ pub mod constraint;
 mod plan;
 mod search;
 
-pub use plan::{Plan, PlanCache};
+pub use plan::Plan;
 pub use search::{EngineConfig, EngineStats, PlannerKind, QueryEngine};
 
 use crate::error::{Result, SjError};

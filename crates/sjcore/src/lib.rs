@@ -14,7 +14,8 @@
 //! * [`wrappers`] — data wrappers (CSV, KV store) and unwrappers
 //! * [`derivations`] — transformations and combinations
 //! * [`engine`] — queries, the Algorithm-1 search, and reproducible plans
-//! * [`cache`] — the opt-in LRU intermediate-result cache
+//! * [`cache`] — the cost-budgeted LRU and the opt-in intermediate-result
+//!   cache built on it
 //! * [`catalog`] — the knowledge base of named datasets and rules
 //!
 //! ```
@@ -60,7 +61,6 @@
 pub mod cache;
 pub mod catalog;
 pub mod column;
-pub mod compress;
 pub mod dataset;
 pub mod derivations;
 pub mod engine;

@@ -1,5 +1,5 @@
 //! Concurrency tests for the LRU result cache: many threads hammering
-//! `get`/`put` on a capacity-bounded cache must never deadlock, corrupt
+//! `get`/`insert` on a capacity-bounded cache must never deadlock, corrupt
 //! the byte accounting, or lose the LRU invariant. This is the exact
 //! access pattern the query service's worker pool produces.
 
@@ -49,16 +49,17 @@ fn concurrent_get_put_with_eviction_stays_consistent() {
                         // other keys.
                         let key = if k % 2 == 0 { k } else { t * 1000 + k };
                         match cache.get(key) {
-                            Some((s, r)) => {
+                            Some(hit) => {
                                 // An entry must come back whole, never a
                                 // torn or partially evicted state.
+                                let (s, r) = &*hit;
                                 assert_eq!(s.len(), 2);
                                 assert!(!r.is_empty());
                                 assert_eq!(r[0].values().len(), 2);
                                 local_hits += 1;
                             }
                             None => {
-                                cache.put(key, schema.clone(), rows(key, 8 + (round % 5)));
+                                cache.insert(key, schema.clone(), rows(key, 8 + (round % 5)));
                             }
                         }
                     }
@@ -75,9 +76,9 @@ fn concurrent_get_put_with_eviction_stays_consistent() {
     // happened, and the byte accounting must still respect capacity.
     assert!(stats.evictions > 0, "expected evictions, got {stats:?}");
     assert!(
-        cache.bytes() <= 64 << 10,
+        stats.cost <= 64 << 10,
         "cache over budget: {} bytes",
-        cache.bytes()
+        stats.cost
     );
     // Overlapping keys guarantee some hits, and the shared counters must
     // at least account for every hit the threads observed.
@@ -89,16 +90,16 @@ fn concurrent_get_put_with_eviction_stays_consistent() {
     assert!(stats.misses > 0);
 
     // After the storm the cache still works single-threaded.
-    cache.put(u64::MAX, schema.clone(), rows(9, 4));
-    let (_, r) = cache.get(u64::MAX).expect("fresh entry readable");
-    assert_eq!(r.len(), 4);
+    cache.insert(u64::MAX, schema.clone(), rows(9, 4));
+    let hit = cache.get(u64::MAX).expect("fresh entry readable");
+    assert_eq!(hit.1.len(), 4);
 }
 
 #[test]
 fn concurrent_readers_of_one_hot_key_all_see_the_same_rows() {
     let cache = Arc::new(ResultCache::new(1 << 20));
     let expected = rows(7, 16);
-    cache.put(7, schema(), expected.clone());
+    cache.insert(7, schema(), expected.clone());
 
     let handles: Vec<_> = (0..8)
         .map(|_| {
@@ -106,8 +107,8 @@ fn concurrent_readers_of_one_hot_key_all_see_the_same_rows() {
             let expected = expected.clone();
             thread::spawn(move || {
                 for _ in 0..200 {
-                    let (_, got) = cache.get(7).expect("hot key stays resident");
-                    assert_eq!(got, expected);
+                    let hit = cache.get(7).expect("hot key stays resident");
+                    assert_eq!(hit.1, expected);
                 }
             })
         })

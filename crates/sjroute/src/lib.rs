@@ -18,8 +18,8 @@
 //! - [`router`] — the daemon core: admission via the sjserve scheduler,
 //!   single-shard routing with single-retry failover, scatter-gather
 //!   fan-out for queries whose dataset cover spans shards (merged by
-//!   [`merge`]), heartbeat mark-down/mark-up, and epoch-driven cache
-//!   invalidation ([`cache`]). Implements
+//!   [`merge`]), heartbeat mark-down/mark-up, and an LRU route cache
+//!   cleared on any catalog epoch change. Implements
 //!   [`sjserve::server::RequestHandler`], so the stock JSON-lines TCP
 //!   front end serves it unmodified.
 //! - [`stream`] — streamed fan-out: `subscribe: true` through the
@@ -36,7 +36,6 @@
 //! their raw spans on the response and the router grafts them under its
 //! own `worker_call` spans via [`sjtrace::graft`].
 
-pub mod cache;
 pub mod chaos;
 pub mod merge;
 pub mod metrics;
@@ -46,10 +45,9 @@ pub mod router;
 pub(crate) mod stream;
 pub mod topology;
 
-pub use cache::RouteCache;
 pub use chaos::KillSchedule;
 pub use metrics::RouterMetrics;
 pub use placement::{assign, partition_dir, ShardDir};
 pub use ring::Ring;
-pub use router::{Router, RouterConfig};
+pub use router::{Router, RouterConfig, ROUTE_CACHE_ENTRIES};
 pub use topology::{Topology, WorkerState};

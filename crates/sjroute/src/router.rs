@@ -17,8 +17,10 @@
 //!    derivation, fanned out concurrently, and the partial tables are
 //!    merged by a natural join on the query's domain columns
 //!    (scatter-gather);
-//! 4. merged `ok` responses land in a bounded route cache, invalidated
-//!    wholesale whenever any worker's catalog epoch changes.
+//! 4. merged `ok` responses land in an LRU route cache of at most
+//!    [`ROUTE_CACHE_ENTRIES`] responses, keyed by (plan fingerprint, row
+//!    limit) and invalidated wholesale whenever any worker's catalog
+//!    epoch changes.
 //!
 //! A background heartbeat probes `health` on every worker: consecutive
 //! failures mark a worker down (routing skips it until it answers
@@ -33,10 +35,11 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
+use sjcore::cache::Lru;
 use sjcore::engine::{EngineConfig, Plan, Query, QueryEngine, QueryValue};
 use sjcore::SjError;
 use sjdf::ExecCtx;
-use sjserve::cache::{PlanCacheLayer, PlanKey};
+use sjserve::cache::{PlanKey, PLAN_CACHE_ENTRIES};
 use sjserve::client::{Client, ClientError};
 use sjserve::metrics::RouterStatsReport;
 use sjserve::protocol::{
@@ -47,7 +50,6 @@ use sjserve::scheduler::{AdmissionError, Job, ResponseSlot, Scheduler, Scheduler
 use sjserve::server::{EmissionSink, RequestHandler};
 use sjtrace::{EventKind, RecordedSpan, SpanEvent, SpanId};
 
-use crate::cache::RouteCache;
 use crate::metrics::RouterMetrics;
 use crate::stream::RouterStreams;
 use crate::topology::Topology;
@@ -66,8 +68,6 @@ pub struct RouterConfig {
     /// Row budget per scatter-gather sub-query: partials must not be
     /// truncated before the merge, so this is deliberately large.
     pub fanout_limit: usize,
-    /// Bounded route-cache entries (merged `ok` responses).
-    pub route_cache_entries: usize,
     /// Heartbeat period.
     pub heartbeat: Duration,
     /// Read timeout on heartbeat probes and boot-time catalog fetches.
@@ -83,7 +83,6 @@ impl Default for RouterConfig {
             engine: EngineConfig::default(),
             default_limit: 1000,
             fanout_limit: 100_000,
-            route_cache_entries: 256,
             heartbeat: Duration::from_secs(2),
             probe_timeout: Duration::from_millis(500),
             markdown_after: 2,
@@ -91,14 +90,20 @@ impl Default for RouterConfig {
     }
 }
 
+/// Most merged responses the route cache keeps. The router's value is
+/// routing, not caching: workers keep the expensive levels (plans and
+/// materialized rows) warm, so a small LRU of ready responses suffices.
+pub const ROUTE_CACHE_ENTRIES: usize = 256;
+
 pub(crate) struct RouterInner {
     pub(crate) config: RouterConfig,
     pub(crate) topology: Topology,
     /// Planning-only context: hosts the zero-row catalog datasets and
     /// the router's tracer. No query data flows through it.
     pub(crate) ctx: ExecCtx,
-    pub(crate) plan_cache: PlanCacheLayer,
-    pub(crate) route_cache: RouteCache,
+    pub(crate) plan_cache: Lru<PlanKey, Plan>,
+    /// Ready-to-send merged `ok` responses by (plan fingerprint, limit).
+    pub(crate) route_cache: Lru<(u64, usize), Response>,
     pub(crate) metrics: RouterMetrics,
     /// Standing queries routed across the fleet (see [`crate::stream`]).
     pub(crate) streams: RouterStreams,
@@ -125,12 +130,11 @@ impl Router {
         if worker_addrs.is_empty() {
             return Err("router needs at least one worker address".into());
         }
-        let route_cache = RouteCache::new(config.route_cache_entries);
         let inner = Arc::new(RouterInner {
             topology: Topology::new(worker_addrs),
             ctx: ExecCtx::local(),
-            plan_cache: PlanCacheLayer::new(),
-            route_cache,
+            plan_cache: Lru::new(PLAN_CACHE_ENTRIES),
+            route_cache: Lru::new(ROUTE_CACHE_ENTRIES),
             metrics: RouterMetrics::new(),
             streams: RouterStreams::new(),
             scheduler: Scheduler::new(config.scheduler.clone()),
@@ -644,9 +648,10 @@ impl Router {
     pub fn stats_report(&self) -> RouterStatsReport {
         let inner = &self.inner;
         inner.metrics.queue_depth_changed(inner.scheduler.depth());
+        let route_cache = inner.route_cache.stats();
         inner.metrics.snapshot(
-            inner.route_cache.hits(),
-            inner.route_cache.len() as u64,
+            route_cache.hits,
+            route_cache.entries as u64,
             inner.topology.summaries(),
         )
     }
@@ -733,7 +738,7 @@ fn solve_reference(
     let engine = QueryEngine::with_config(&planning.catalog, route_engine.clone());
     match engine.solve(&canonical) {
         Ok(plan) => {
-            let plan = inner.plan_cache.insert(key, plan);
+            let plan = inner.plan_cache.insert(key, plan, 1);
             Ok((canonical, plan, false))
         }
         Err(SjError::NoSolution(msg)) => Err(ErrorBody::new(codes::NO_SOLUTION, msg)),
@@ -926,12 +931,13 @@ fn route_query(
     }
 
     let limit = spec.limit.unwrap_or(inner.config.default_limit);
-    let cache_key = RouteCache::key(plan.fingerprint(), limit);
+    let cache_key = (plan.fingerprint(), limit);
     // Traced requests bypass the cache: the client asked to watch the
     // hop actually happen.
     let caching = !job.request.wants_trace();
     if caching {
-        if let Some(mut hit) = inner.route_cache.get(&cache_key) {
+        if let Some(hit) = inner.route_cache.get(&cache_key) {
+            let mut hit = Response::clone(&hit);
             hit.id = id.clone();
             if let Some(result) = hit.result.as_mut() {
                 result.result_cache_hit = true;
@@ -969,7 +975,7 @@ fn route_query(
                 if caching && resp.is_ok() {
                     let mut cached = resp.clone();
                     cached.trace = None;
-                    inner.route_cache.put(cache_key, cached);
+                    inner.route_cache.insert(cache_key, cached, 1);
                 }
                 (resp, guests)
             }
@@ -1011,7 +1017,7 @@ fn route_query(
                 None => {
                     let engine = QueryEngine::with_config(&planning.catalog, route_engine.clone());
                     match engine.solve(&sub_query) {
-                        Ok(plan) => inner.plan_cache.insert(key, plan),
+                        Ok(plan) => inner.plan_cache.insert(key, plan, 1),
                         Err(e) => {
                             return fail(
                                 ErrorBody::new(
@@ -1207,7 +1213,7 @@ fn route_query(
         let mut r = Response::ok(&id);
         r.result = Some(merged);
         if caching {
-            inner.route_cache.put(cache_key, r.clone());
+            inner.route_cache.insert(cache_key, r.clone(), 1);
         }
         r
     } else {
@@ -1390,7 +1396,7 @@ fn probe_all(inner: &RouterInner) {
                     if was_healthy && changed {
                         inner.metrics.epoch_invalidation();
                     }
-                    inner.route_cache.invalidate_all();
+                    inner.route_cache.clear();
                     inner.plan_cache.clear();
                 }
             }
@@ -1424,6 +1430,5 @@ mod tests {
         let c = RouterConfig::default();
         assert!(c.fanout_limit >= c.default_limit);
         assert!(c.markdown_after >= 1);
-        assert!(c.route_cache_entries > 0);
     }
 }

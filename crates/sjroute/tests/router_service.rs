@@ -159,6 +159,38 @@ fn epoch_change_invalidates_the_route_cache() {
     b.stop();
 }
 
+/// The route cache evicts the least recently *used* response: a key
+/// re-pulled between inserts survives more distinct keys than the cache
+/// holds.
+#[test]
+fn route_cache_keeps_a_hot_key_under_churn() {
+    let ctx = ctx();
+    let a = spawn(worker(&ctx, &["node_power"], "shard-0"));
+    let router = router_over(&[&a]);
+    let hot = |id: &str| {
+        let r = router.handle(Request::query(id, "t", power_spec()));
+        assert!(r.is_ok(), "{:?}", r.error);
+        r.result.unwrap().result_cache_hit
+    };
+    assert!(!hot("h"), "first pull of the hot key is a miss");
+    // Every distinct limit is its own route-cache key.
+    for i in 0..=sjroute::ROUTE_CACHE_ENTRIES {
+        assert!(hot(&format!("h{i}")), "hot key evicted after {i} inserts");
+        let mut spec = power_spec();
+        spec.limit = Some(10_000 + i);
+        let r = router.handle(Request::query(&format!("c{i}"), "t", spec));
+        assert!(r.is_ok(), "{:?}", r.error);
+    }
+    assert!(hot("h-last"), "hot key evicted by the last insert");
+    let stats = router.shutdown();
+    assert_eq!(
+        stats.route_cache_entries,
+        sjroute::ROUTE_CACHE_ENTRIES as u64,
+        "{stats:?}"
+    );
+    a.stop();
+}
+
 /// Protocol and planning errors come back structured, never as hangs or
 /// dropped connections.
 #[test]

@@ -5,15 +5,23 @@
 //! canonicalized [`Query`] plus the engine knobs that shape plans maps to
 //! the solved [`Plan`]. The search is the expensive combinatorial part of
 //! ScrubJay (§5.2), and two clients asking for the same dimensions in a
-//! different order land on the same entry. Level 2 is the existing
-//! [`sjcore::cache::ResultCache`], keyed by [`Plan::fingerprint`], which
-//! memoizes *materialized rows*; the service wires both together.
+//! different order land on the same entry. Level 2 is the
+//! [`sjcore::cache::ResultCache`], keyed by [`Plan::fingerprint`](sjcore::engine::Plan::fingerprint), which
+//! memoizes *materialized rows*; the service wires both together. Both
+//! levels are [`Lru`]s; the router keeps a plan cache of the same shape.
+//!
+//! [`Lru`]: sjcore::cache::Lru
+//! [`Plan`]: sjcore::engine::Plan
 
-use parking_lot::Mutex;
-use sjcore::engine::{Plan, Query};
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use sjcore::engine::Query;
+
+/// Most solved plans a plan cache keeps: its [`Lru`] costs each plan 1
+/// and gets this budget. Every distinct (query, window, step) is its own
+/// entry, so a client sweeping knobs would otherwise grow the cache
+/// without bound.
+///
+/// [`Lru`]: sjcore::cache::Lru
+pub const PLAN_CACHE_ENTRIES: usize = 1024;
 
 /// Cache key: the normalized query plus every engine knob that can change
 /// the solved plan. Window and step are carried as microsecond integers
@@ -54,58 +62,6 @@ fn knob_to_us(secs: f64) -> Option<u64> {
     Some((secs * 1e6) as u64)
 }
 
-/// Hit/miss counters for one cache level.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PlanCacheStats {
-    pub hits: u64,
-    pub misses: u64,
-    pub entries: u64,
-}
-
-/// Thread-safe memo of solved plans.
-#[derive(Debug, Default)]
-pub struct PlanCacheLayer {
-    plans: Mutex<HashMap<PlanKey, Arc<Plan>>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-}
-
-impl PlanCacheLayer {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Look up a solved plan, counting the hit or miss.
-    pub fn get(&self, key: &PlanKey) -> Option<Arc<Plan>> {
-        let found = self.plans.lock().get(key).cloned();
-        match &found {
-            Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
-            None => self.misses.fetch_add(1, Ordering::Relaxed),
-        };
-        found
-    }
-
-    /// Insert a freshly solved plan. If another thread solved the same
-    /// query first, its entry wins and is returned — both plans satisfy
-    /// the query, and keeping one maximizes downstream result-cache hits.
-    pub fn insert(&self, key: PlanKey, plan: Plan) -> Arc<Plan> {
-        let mut plans = self.plans.lock();
-        Arc::clone(plans.entry(key).or_insert_with(|| Arc::new(plan)))
-    }
-
-    pub fn stats(&self) -> PlanCacheStats {
-        PlanCacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            entries: self.plans.lock().len() as u64,
-        }
-    }
-
-    pub fn clear(&self) {
-        self.plans.lock().clear();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -128,18 +84,6 @@ mod tests {
     }
 
     #[test]
-    fn counts_hits_and_misses() {
-        let cache = PlanCacheLayer::new();
-        let key = PlanKey::new(&q(&["rack"], &["heat"]), 120.0, 60.0).unwrap();
-        assert!(cache.get(&key).is_none());
-        cache.insert(key.clone(), Plan::load("sensors"));
-        assert!(cache.get(&key).is_some());
-        assert!(cache.get(&key).is_some());
-        let s = cache.stats();
-        assert_eq!((s.hits, s.misses, s.entries), (2, 1, 1));
-    }
-
-    #[test]
     fn invalid_knobs_are_rejected_not_collapsed_to_zero() {
         // Regression: NaN, infinities, and negatives used to all cast to
         // key 0 via `as u64`, colliding with each other and with a real
@@ -156,14 +100,5 @@ mod tests {
         // Huge finite knobs saturate but stay distinct from zero.
         let huge = PlanKey::new(&query, 1e300, 60.0).unwrap();
         assert_ne!(huge, PlanKey::new(&query, 0.0, 60.0).unwrap());
-    }
-
-    #[test]
-    fn first_insert_wins_races() {
-        let cache = PlanCacheLayer::new();
-        let key = PlanKey::new(&q(&["rack"], &["heat"]), 120.0, 60.0).unwrap();
-        let first = cache.insert(key.clone(), Plan::load("a"));
-        let second = cache.insert(key, Plan::load("b"));
-        assert_eq!(first, second, "racing insert must return the winner");
     }
 }

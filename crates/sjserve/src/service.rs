@@ -23,14 +23,14 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
-use sjcore::cache::ResultCache;
+use sjcore::cache::{Lru, ResultCache};
 use sjcore::catalog::Catalog;
-use sjcore::engine::{EngineConfig, Query, QueryEngine, QueryValue};
+use sjcore::engine::{EngineConfig, Plan, Query, QueryEngine, QueryValue};
 use sjcore::SjError;
 use sjdf::ExecCtx;
 use sjtrace::{EventKind, RecordedSpan};
 
-use crate::cache::{PlanCacheLayer, PlanKey};
+use crate::cache::{PlanKey, PLAN_CACHE_ENTRIES};
 use crate::metrics::{CacheCounters, ServiceMetrics, StatsReport};
 use crate::protocol::{
     codes, AppendAck, CatalogInfo, DatasetDesc, ErrorBody, HealthReport, PlanInfo, QueryResult,
@@ -117,7 +117,7 @@ struct ServiceInner {
     catalog: Catalog,
     ctx: ExecCtx,
     config: ServiceConfig,
-    plan_cache: PlanCacheLayer,
+    plan_cache: Lru<PlanKey, Plan>,
     result_cache: ResultCache,
     metrics: ServiceMetrics,
     scheduler: Scheduler,
@@ -177,7 +177,7 @@ impl QueryService {
             catalog,
             ctx,
             config: config.clone(),
-            plan_cache: PlanCacheLayer::new(),
+            plan_cache: Lru::new(PLAN_CACHE_ENTRIES),
             result_cache: ResultCache::new(config.result_cache_bytes),
             metrics: ServiceMetrics::new(),
             scheduler,
@@ -651,11 +651,11 @@ impl QueryService {
             )
         };
         let mut report = inner.metrics.snapshot(CacheCounters {
-            plan_entries: plan.entries,
+            plan_entries: plan.entries as u64,
             plan_hits: plan.hits,
             plan_misses: plan.misses,
-            result_entries: inner.result_cache.len() as u64,
-            result_bytes: inner.result_cache.bytes() as u64,
+            result_entries: result.entries as u64,
+            result_bytes: result.cost as u64,
             result_hits: result.hits,
             result_misses: result.misses,
             result_evictions: result.evictions,
@@ -979,7 +979,7 @@ fn execute_query(inner: &ServiceInner, job: &Job) -> Response {
             let solved = engine.solve(&canonical);
             inner.metrics.planner_effort(&engine.stats());
             match solved {
-                Ok(plan) => (inner.plan_cache.insert(key, plan), false),
+                Ok(plan) => (inner.plan_cache.insert(key, plan, 1), false),
                 Err(SjError::NoSolution(msg)) => {
                     solve_span.fail();
                     return Response::fail(id, ErrorBody::new(codes::NO_SOLUTION, msg));
@@ -1013,11 +1013,10 @@ fn execute_query(inner: &ServiceInner, job: &Job) -> Response {
 
     // Level 2: materialized rows keyed by plan fingerprint.
     let fingerprint = plan.fingerprint();
-    let (schema, rows, result_cache_hit, engine_metrics) = match inner.result_cache.get(fingerprint)
-    {
-        Some((schema, rows)) => {
+    let (cached, result_cache_hit, engine_metrics) = match inner.result_cache.get(fingerprint) {
+        Some(hit) => {
             tracer.instant("result_cache_hit", "");
-            (schema, rows, true, None)
+            (hit, true, None)
         }
         None => {
             tracer.instant("result_cache_miss", "");
@@ -1040,18 +1039,18 @@ fn execute_query(inner: &ServiceInner, job: &Job) -> Response {
                 }
             };
             drop(exec_span);
-            let schema = ds.schema().clone();
-            inner
+            let cached = inner
                 .result_cache
-                .put(fingerprint, schema.clone(), rows.clone());
+                .insert(fingerprint, ds.schema().clone(), rows);
             // Attribute the collector's growth to this evaluation.
             // Concurrent evaluations may interleave (the collector is
             // shared), so this is an attribution, not an isolation.
             let delta = inner.ctx.metrics.report().delta_since(&baseline);
             inner.metrics.engine_failures(&delta.failures);
-            (schema, rows, false, Some(delta))
+            (cached, false, Some(delta))
         }
     };
+    let (schema, rows) = &*cached;
 
     let limit = spec.limit.unwrap_or(inner.config.default_limit);
     let row_count = rows.len();

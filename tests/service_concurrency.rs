@@ -320,3 +320,26 @@ fn health_explain_and_shutdown_over_tcp() {
     let report = handle.wait();
     assert!(report.requests_total >= 3);
 }
+
+/// Every distinct (query, window, step) solves to its own plan-cache
+/// entry; a client sweeping knobs must not grow the cache past its cap.
+#[test]
+fn plan_cache_stays_bounded_under_fresh_knobs() {
+    let service = start_service(SchedulerConfig::default());
+    let cap = sjserve::cache::PLAN_CACHE_ENTRIES;
+    let extra = 8;
+    for i in 0..cap + extra {
+        let mut spec = rack_heat_spec();
+        spec.window_secs = Some(60.0 + i as f64);
+        let response = service.handle(sjserve::Request::explain(&format!("e{i}"), "t", spec));
+        assert!(response.is_ok(), "{:?}", response.error);
+    }
+    let stats = service.stats_report();
+    assert_eq!(stats.plan_cache_misses, (cap + extra) as u64);
+    assert!(
+        stats.plan_cache_entries <= cap as u64,
+        "plan cache grew to {} entries (cap {cap})",
+        stats.plan_cache_entries
+    );
+    service.shutdown();
+}
