@@ -51,7 +51,7 @@ fn join2(a: QueryResult, b: QueryResult) -> Result<QueryResult, String> {
         index.entry(key).or_default().push(ri);
     }
     let mut rows = Vec::new();
-    for arow in &a.rows {
+    for arow in a.rows.iter() {
         let key: Vec<&str> = shared.iter().map(|&(i, _)| arow[i].as_str()).collect();
         if let Some(matches) = index.get(&key) {
             for &ri in matches {
@@ -67,7 +67,7 @@ fn join2(a: QueryResult, b: QueryResult) -> Result<QueryResult, String> {
     Ok(QueryResult {
         columns,
         row_count: rows.len(),
-        rows,
+        rows: rows.into(),
         truncated: a.truncated || b.truncated,
         plan_cache_hit: a.plan_cache_hit && b.plan_cache_hit,
         result_cache_hit: a.result_cache_hit && b.result_cache_hit,
@@ -99,10 +99,13 @@ pub fn canonicalize(result: &mut QueryResult, preferred: &[String]) {
     order.extend(rest);
 
     result.columns = order.iter().map(|&i| result.columns[i].clone()).collect();
-    for row in &mut result.rows {
-        *row = order.iter().map(|&i| row[i].clone()).collect();
-    }
-    result.rows.sort();
+    let mut rows: Vec<Vec<String>> = result
+        .rows
+        .iter()
+        .map(|row| order.iter().map(|&i| row[i].clone()).collect())
+        .collect();
+    rows.sort();
+    result.rows = rows.into();
 }
 
 /// Render a (canonicalized) result as CSV text — the byte-identity
@@ -110,7 +113,7 @@ pub fn canonicalize(result: &mut QueryResult, preferred: &[String]) {
 pub fn canonical_csv(result: &QueryResult) -> String {
     let mut out = result.columns.join(",");
     out.push('\n');
-    for row in &result.rows {
+    for row in result.rows.iter() {
         out.push_str(&row.join(","));
         out.push('\n');
     }
@@ -149,7 +152,7 @@ mod tests {
         );
         let merged = natural_join(vec![a, b]).unwrap();
         assert_eq!(merged.columns, vec!["job", "time", "heat", "power"]);
-        assert_eq!(merged.rows, vec![vec!["1001", "60", "2.5", "90"]]);
+        assert_eq!(*merged.rows, vec![vec!["1001", "60", "2.5", "90"]]);
         assert_eq!(merged.row_count, 1);
     }
 

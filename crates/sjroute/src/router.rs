@@ -1204,7 +1204,9 @@ fn route_query(
     crate::merge::canonicalize(&mut merged, &preferred);
     merged.row_count = merged.rows.len();
     if merged.rows.len() > limit {
-        merged.rows.truncate(limit);
+        let mut rows = std::mem::take(&mut merged.rows).into_cells();
+        rows.truncate(limit);
+        merged.rows = rows.into();
         merged.truncated = true;
     }
     merged.elapsed_ms = job.enqueued.elapsed().as_secs_f64() * 1e3;

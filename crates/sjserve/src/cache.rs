@@ -5,10 +5,12 @@
 //! canonicalized [`Query`] plus the engine knobs that shape plans maps to
 //! the solved [`Plan`]. The search is the expensive combinatorial part of
 //! ScrubJay (§5.2), and two clients asking for the same dimensions in a
-//! different order land on the same entry. Level 2 is the
-//! [`sjcore::cache::ResultCache`], keyed by [`Plan::fingerprint`](sjcore::engine::Plan::fingerprint), which
-//! memoizes *materialized rows*; the service wires both together. Both
-//! levels are [`Lru`]s; the router keeps a plan cache of the same shape.
+//! different order land on the same entry. Level 2, in the service, is
+//! keyed by [`Plan::fingerprint`](sjcore::engine::Plan::fingerprint) and
+//! memoizes *materialized rows*, each entry with the wire encoding of
+//! the rows its first response showed; the service wires both together.
+//! Both levels are [`Lru`]s; the router keeps a plan cache of the same
+//! shape.
 //!
 //! [`Lru`]: sjcore::cache::Lru
 //! [`Plan`]: sjcore::engine::Plan

@@ -31,6 +31,7 @@ pub mod cache;
 pub mod client;
 pub mod metrics;
 pub mod protocol;
+pub mod rendered;
 pub mod scheduler;
 pub mod server;
 pub mod service;
@@ -41,8 +42,8 @@ pub use metrics::{
     RouterStatsReport, ServiceMetrics, StatsReport, StreamStatsReport, WorkerSummary,
 };
 pub use protocol::{
-    AppendAck, CatalogInfo, DatasetDesc, ErrorBody, HealthReport, QuerySpec, Request, Response,
-    SubscriptionAck, ValueSpec, Verb, PROTO_VERSION,
+    AppendAck, CatalogInfo, DatasetDesc, ErrorBody, HealthReport, QuerySpec, RenderedRows, Request,
+    Response, SubscriptionAck, ValueSpec, Verb, PROTO_VERSION,
 };
 pub use scheduler::SchedulerConfig;
 pub use server::{

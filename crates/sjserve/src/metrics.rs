@@ -106,10 +106,22 @@ pub struct StatsReport {
     pub plan_cache_hits: u64,
     pub plan_cache_misses: u64,
     pub result_cache_entries: u64,
+    /// Bytes the result cache holds: each entry's rows plus the wire
+    /// encoding stored with them.
     pub result_cache_bytes: u64,
     pub result_cache_hits: u64,
     pub result_cache_misses: u64,
     pub result_cache_evictions: u64,
+    /// Query responses whose rows are a result-cache entry's stored
+    /// encoding, copied without rendering (hits at the row count the
+    /// inserting miss showed).
+    #[serde(default)]
+    pub result_rows_reused: u64,
+    /// Query responses whose rows were rendered from values: every
+    /// miss, and every hit showing a different row count than the
+    /// inserting miss. A hit counted here pays per-cell work.
+    #[serde(default)]
+    pub result_rows_rendered: u64,
     /// Dataflow stage cache (persisted partitions + shuffle outputs).
     #[serde(default)]
     pub stage_cache_entries: u64,
@@ -267,6 +279,10 @@ impl StatsReport {
             self.result_cache_hits,
             self.result_cache_misses,
             self.result_cache_evictions
+        ));
+        out.push_str(&format!(
+            "result rows: {} responses reused a stored encoding, {} rendered from values\n",
+            self.result_rows_reused, self.result_rows_rendered
         ));
         out.push_str(&format!(
             "stage cache: {} entries ({} bytes), {} hits, {} misses, {} evictions\n",
@@ -475,6 +491,8 @@ pub struct ServiceMetrics {
     subscriptions_closed: AtomicU64,
     requests_json: AtomicU64,
     requests_binary: AtomicU64,
+    result_rows_reused: AtomicU64,
+    result_rows_rendered: AtomicU64,
     latency: Mutex<Histogram>,
     tenants: Mutex<BTreeMap<String, TenantStats>>,
 }
@@ -508,6 +526,8 @@ impl Default for ServiceMetrics {
             subscriptions_closed: AtomicU64::new(0),
             requests_json: AtomicU64::new(0),
             requests_binary: AtomicU64::new(0),
+            result_rows_reused: AtomicU64::new(0),
+            result_rows_rendered: AtomicU64::new(0),
             latency: Mutex::new(Histogram::default()),
             tenants: Mutex::new(BTreeMap::new()),
         }
@@ -621,6 +641,16 @@ impl ServiceMetrics {
         }
     }
 
+    /// One query response's rows: copied from a result-cache entry's
+    /// stored encoding (`reused`), or rendered from values.
+    pub fn result_rows(&self, reused: bool) {
+        if reused {
+            self.result_rows_reused.fetch_add(1, Ordering::Relaxed);
+        } else {
+            self.result_rows_rendered.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
     /// Compose the streaming section of a [`StatsReport`] from the
     /// engine's counters plus the service-side lifecycle counters.
     pub fn stream_report(
@@ -715,6 +745,8 @@ impl ServiceMetrics {
             result_cache_hits: caches.result_hits,
             result_cache_misses: caches.result_misses,
             result_cache_evictions: caches.result_evictions,
+            result_rows_reused: self.result_rows_reused.load(Ordering::Relaxed),
+            result_rows_rendered: self.result_rows_rendered.load(Ordering::Relaxed),
             stage_cache_entries: caches.stage_entries,
             stage_cache_bytes: caches.stage_bytes,
             stage_cache_hits: caches.stage_hits,

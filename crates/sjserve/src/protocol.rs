@@ -11,6 +11,7 @@ use serde::{Deserialize, Serialize};
 use sjdf::metrics::MetricsReport;
 
 use crate::metrics::{RouterStatsReport, StatsReport};
+pub use crate::rendered::RenderedRows;
 
 /// The wire-protocol version this build speaks. Requests and responses
 /// carry it as `proto_version` (absent on messages from older peers);
@@ -275,8 +276,10 @@ impl ErrorBody {
 pub struct QueryResult {
     /// Column names, in schema order.
     pub columns: Vec<String>,
-    /// Row cells rendered to display form, at most `limit` rows.
-    pub rows: Vec<Vec<String>>,
+    /// Row cells rendered to display form, at most `limit` rows. Shared
+    /// and immutable; a result-cache hit carries the stored wire
+    /// encoding instead of cells (see [`RenderedRows`]).
+    pub rows: RenderedRows,
     /// Total rows the query produced (before `limit`).
     pub row_count: usize,
     /// Whether `rows` was cut off at the limit.

@@ -14,7 +14,8 @@
 //! Execution consults the two cache levels in order: the plan cache
 //! (memoized derivation search, keyed by normalized query + engine
 //! knobs) and the result cache (materialized rows, keyed by plan
-//! fingerprint). Each response reports which levels hit, its end-to-end
+//! fingerprint, stored with the wire encoding of the rows the inserting
+//! miss showed). Each response reports which levels hit, its end-to-end
 //! latency, and the dataflow metrics attributable to its evaluation.
 
 use std::path::PathBuf;
@@ -23,18 +24,18 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
-use sjcore::cache::{Lru, ResultCache};
+use sjcore::cache::Lru;
 use sjcore::catalog::Catalog;
 use sjcore::engine::{EngineConfig, Plan, Query, QueryEngine, QueryValue};
-use sjcore::SjError;
-use sjdf::ExecCtx;
+use sjcore::{Row, SjError};
+use sjdf::{ByteSize, ExecCtx};
 use sjtrace::{EventKind, RecordedSpan};
 
 use crate::cache::{PlanKey, PLAN_CACHE_ENTRIES};
 use crate::metrics::{CacheCounters, ServiceMetrics, StatsReport};
 use crate::protocol::{
     codes, AppendAck, CatalogInfo, DatasetDesc, ErrorBody, HealthReport, PlanInfo, QueryResult,
-    Request, Response, SubscriptionAck, TraceSummary, Verb,
+    RenderedRows, Request, Response, SubscriptionAck, TraceSummary, Verb,
 };
 use crate::scheduler::{AdmissionError, Job, ResponseSlot, Scheduler, SchedulerConfig};
 use crate::server::EmissionSink;
@@ -44,7 +45,8 @@ use crate::server::EmissionSink;
 pub struct ServiceConfig {
     /// Admission and worker-pool sizing.
     pub scheduler: SchedulerConfig,
-    /// Byte budget for the materialized-result cache.
+    /// Byte budget for the materialized-result cache: each entry is
+    /// charged its rows plus the wire encoding stored with them.
     pub result_cache_bytes: usize,
     /// Byte budget for the dataflow stage cache (persisted partitions and
     /// auto-persisted shuffle outputs in the shared [`ExecCtx`]); applied
@@ -104,6 +106,18 @@ impl Default for ServiceConfig {
     }
 }
 
+/// A result-cache entry: a plan's materialized rows, plus the rows the
+/// inserting miss showed, rendered and encoded once as a
+/// `SEC_RESULT_ROWS` section. A hit showing as many rows copies that
+/// section instead of rendering again.
+struct CachedResult {
+    columns: Vec<String>,
+    rows: Vec<Row>,
+    /// How many leading rows `section` holds.
+    shown: usize,
+    section: Arc<[u8]>,
+}
+
 /// One standing query bound to the connection it reports to.
 struct SubBinding {
     /// Server-assigned subscription id (`Response::query_id` on frames).
@@ -118,7 +132,7 @@ struct ServiceInner {
     ctx: ExecCtx,
     config: ServiceConfig,
     plan_cache: Lru<PlanKey, Plan>,
-    result_cache: ResultCache,
+    result_cache: Lru<u64, CachedResult>,
     metrics: ServiceMetrics,
     scheduler: Scheduler,
     workers: Mutex<Vec<std::thread::JoinHandle<()>>>,
@@ -178,7 +192,7 @@ impl QueryService {
             ctx,
             config: config.clone(),
             plan_cache: Lru::new(PLAN_CACHE_ENTRIES),
-            result_cache: ResultCache::new(config.result_cache_bytes),
+            result_cache: Lru::new(config.result_cache_bytes),
             metrics: ServiceMetrics::new(),
             scheduler,
             workers: Mutex::new(Vec::new()),
@@ -729,7 +743,8 @@ fn catalog_fingerprint(catalog: &Catalog) -> u64 {
 /// outcome — the service is healthy, the query lost the fault lottery —
 /// so it becomes a structured `degraded` response carrying the request's
 /// fault/retry accounting. Anything else is a plain `exec_failed`.
-/// Neither outcome reaches the result cache (both return before `put`).
+/// Neither outcome reaches the result cache (both return before
+/// `insert`).
 fn exec_error(
     inner: &ServiceInner,
     id: &str,
@@ -1012,67 +1027,159 @@ fn execute_query(inner: &ServiceInner, job: &Job) -> Response {
     }
 
     // Level 2: materialized rows keyed by plan fingerprint.
-    let fingerprint = plan.fingerprint();
-    let (cached, result_cache_hit, engine_metrics) = match inner.result_cache.get(fingerprint) {
-        Some(hit) => {
-            tracer.instant("result_cache_hit", "");
-            (hit, true, None)
-        }
-        None => {
-            tracer.instant("result_cache_miss", "");
-            let mut exec_span = tracer.span("execute");
-            let baseline = inner.ctx.metrics.report();
-            let ds = match plan.execute(&inner.catalog, None) {
-                Ok(ds) => ds,
-                Err(e) => {
-                    exec_span.fail();
-                    drop(exec_span);
-                    return exec_error(inner, id, &baseline, &e.to_string());
-                }
-            };
-            let rows = match ds.collect() {
-                Ok(rows) => rows,
-                Err(e) => {
-                    exec_span.fail();
-                    drop(exec_span);
-                    return exec_error(inner, id, &baseline, &e.to_string());
-                }
-            };
-            drop(exec_span);
-            let cached = inner
-                .result_cache
-                .insert(fingerprint, ds.schema().clone(), rows);
-            // Attribute the collector's growth to this evaluation.
-            // Concurrent evaluations may interleave (the collector is
-            // shared), so this is an attribution, not an isolation.
-            let delta = inner.ctx.metrics.report().delta_since(&baseline);
-            inner.metrics.engine_failures(&delta.failures);
-            (cached, false, Some(delta))
-        }
-    };
-    let (schema, rows) = &*cached;
-
     let limit = spec.limit.unwrap_or(inner.config.default_limit);
-    let row_count = rows.len();
-    let truncated = row_count > limit;
-    let columns: Vec<String> = schema.fields().iter().map(|f| f.name.clone()).collect();
-    let ncols = schema.len();
-    let rendered: Vec<Vec<String>> = rows
-        .iter()
-        .take(limit)
-        .map(|row| (0..ncols).map(|i| row.get(i).to_string()).collect())
-        .collect();
+    let fingerprint = plan.fingerprint();
+    let (cached, rows, result_cache_hit, engine_metrics) =
+        match inner.result_cache.get(&fingerprint) {
+            Some(hit) => {
+                tracer.instant("result_cache_hit", "");
+                let shown = limit.min(hit.rows.len());
+                let reused = shown == hit.shown;
+                inner.metrics.result_rows(reused);
+                let rows = if reused {
+                    // A fresh table around the stored bytes: cells a
+                    // caller materializes belong to this response, never
+                    // to the cache.
+                    RenderedRows::from_section(Arc::clone(&hit.section))
+                } else {
+                    render(&hit.rows, shown, hit.columns.len())
+                };
+                (hit, rows, true, None)
+            }
+            None => {
+                tracer.instant("result_cache_miss", "");
+                let mut exec_span = tracer.span("execute");
+                let baseline = inner.ctx.metrics.report();
+                let ds = match plan.execute(&inner.catalog, None) {
+                    Ok(ds) => ds,
+                    Err(e) => {
+                        exec_span.fail();
+                        drop(exec_span);
+                        return exec_error(inner, id, &baseline, &e.to_string());
+                    }
+                };
+                let rows = match ds.collect() {
+                    Ok(rows) => rows,
+                    Err(e) => {
+                        exec_span.fail();
+                        drop(exec_span);
+                        return exec_error(inner, id, &baseline, &e.to_string());
+                    }
+                };
+                drop(exec_span);
+                let columns: Vec<String> = ds
+                    .schema()
+                    .fields()
+                    .iter()
+                    .map(|f| f.name.clone())
+                    .collect();
+                // The one render and encode of these rows; the response
+                // carries both forms, so the wire copies the section.
+                let shown = limit.min(rows.len());
+                let rendered = render(&rows, shown, columns.len());
+                let section = Arc::clone(rendered.section());
+                let cost = rows.iter().map(ByteSize::byte_size).sum::<usize>() + section.len();
+                let entry = CachedResult {
+                    columns,
+                    rows,
+                    shown,
+                    section,
+                };
+                let cached = inner.result_cache.insert(fingerprint, entry, cost);
+                // Attribute the collector's growth to this evaluation.
+                // Concurrent evaluations may interleave (the collector is
+                // shared), so this is an attribution, not an isolation.
+                let delta = inner.ctx.metrics.report().delta_since(&baseline);
+                inner.metrics.engine_failures(&delta.failures);
+                inner.metrics.result_rows(false);
+                (cached, rendered, false, Some(delta))
+            }
+        };
 
+    let row_count = cached.rows.len();
     let mut r = Response::ok(id);
     r.result = Some(QueryResult {
-        columns,
-        rows: rendered,
+        columns: cached.columns.clone(),
+        rows,
         row_count,
-        truncated,
+        truncated: row_count > limit,
         plan_cache_hit,
         result_cache_hit,
         elapsed_ms: job.enqueued.elapsed().as_secs_f64() * 1e3,
         engine_metrics,
     });
     r
+}
+
+/// Render the first `limit` rows to display strings, `ncols` cells each.
+fn render(rows: &[Row], limit: usize, ncols: usize) -> RenderedRows {
+    rows.iter()
+        .take(limit)
+        .map(|row| (0..ncols).map(|i| row.get(i).to_string()).collect())
+        .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::protocol::QuerySpec;
+    use sjcore::schema::{FieldDef, Schema};
+    use sjcore::semantics::FieldSemantics;
+    use sjcore::value::Value;
+    use sjcore::SjDataset;
+
+    fn service() -> QueryService {
+        let ctx = ExecCtx::local();
+        let schema = Schema::new(vec![
+            FieldDef::new("node", FieldSemantics::domain("compute-node", "node-id")),
+            FieldDef::new("power", FieldSemantics::value("power", "watts")),
+        ])
+        .unwrap();
+        let rows = (0..30)
+            .map(|i| Row::new(vec![Value::str(format!("n{i}")), Value::Float(i as f64)]))
+            .collect();
+        let mut catalog = Catalog::default_hpc();
+        catalog
+            .register_dataset(
+                "node_power",
+                SjDataset::from_rows(&ctx, rows, schema, "node_power", 1),
+            )
+            .unwrap();
+        QueryService::new(ctx, catalog, ServiceConfig::default())
+    }
+
+    fn rows_at(service: &QueryService, limit: usize) -> (RenderedRows, bool) {
+        let mut spec = QuerySpec::new(["compute-node"], ["power"]);
+        spec.limit = Some(limit);
+        let response = service.handle(Request::query("q", "t", spec));
+        let result = response.result.expect("query result");
+        (result.rows, result.result_cache_hit)
+    }
+
+    #[test]
+    fn hits_wrap_the_stored_section_in_fresh_tables() {
+        let service = service();
+        let (miss, hit) = rows_at(&service, 10);
+        assert!(!hit);
+        assert!(miss.has_cells());
+
+        let (first, hit) = rows_at(&service, 10);
+        assert!(hit);
+        assert!(!first.has_cells(), "a hit renders nothing");
+        assert!(Arc::ptr_eq(first.section(), miss.section()));
+        assert_eq!(first, miss);
+        assert!(first.has_cells());
+
+        // Cells the first hit materialized stayed with its response.
+        let (second, _) = rows_at(&service, 10);
+        assert!(!second.has_cells());
+        assert!(Arc::ptr_eq(second.section(), miss.section()));
+
+        // A hit at another limit renders its own table.
+        let (other, hit) = rows_at(&service, 5);
+        assert!(hit);
+        assert!(other.has_cells());
+        assert_eq!(*other, miss[..5]);
+        service.shutdown();
+    }
 }

@@ -25,12 +25,19 @@
 //!
 //! Empty row sets ship no section at all (the envelope already carries
 //! the empty `Vec`). Unknown section ids are skipped on decode, so a
-//! newer peer can add sections without breaking this build.
+//! newer peer can add sections without breaking this build. A known
+//! section must be consumed to its last byte.
+//!
+//! Result rows are a [`RenderedRows`] table, which keeps its section
+//! once encoded: a result-cache hit (or a decoded response a router
+//! sends on) is written by copying those bytes, with no per-cell work.
 
-use sjwire::codec::{decode_rows, decode_str_rows, encode_rows, encode_str_rows, Reader};
+use sjwire::codec::{
+    decode_rows, decode_section, decode_str_rows, encode_rows, encode_str_rows, Reader,
+};
 use sjwire::WireError;
 
-use crate::protocol::{Request, Response};
+use crate::protocol::{RenderedRows, Request, Response};
 
 /// Section id: `Request.append.rows` as columnar value lanes.
 pub const SEC_APPEND_ROWS: u8 = 1;
@@ -45,7 +52,7 @@ fn put_section(out: &mut Vec<u8>, id: u8, bytes: &[u8]) {
     out.extend_from_slice(bytes);
 }
 
-fn assemble(envelope: &[u8], sections: &[(u8, Vec<u8>)]) -> Vec<u8> {
+fn assemble(envelope: &[u8], sections: &[(u8, &[u8])]) -> Vec<u8> {
     let mut out = Vec::with_capacity(
         4 + envelope.len() + 1 + sections.iter().map(|(_, b)| 5 + b.len()).sum::<usize>(),
     );
@@ -107,17 +114,16 @@ pub fn encode_response_plain(resp: &Response) -> Vec<u8> {
 
 /// Encode a request as an envelope plus columnar append rows.
 pub fn encode_request(req: &Request) -> Vec<u8> {
-    let mut sections = Vec::new();
-    let envelope = match &req.append {
+    match &req.append {
         Some(batch) if !batch.rows.is_empty() => {
-            sections.push((SEC_APPEND_ROWS, encode_rows(&batch.rows)));
+            let rows = encode_rows(&batch.rows);
             let mut slim = req.clone();
             slim.append.as_mut().expect("append present").rows = Vec::new();
-            serde_json::to_vec(&slim).expect("request envelope serializes")
+            let envelope = serde_json::to_vec(&slim).expect("request envelope serializes");
+            assemble(&envelope, &[(SEC_APPEND_ROWS, &rows)])
         }
-        _ => serde_json::to_vec(req).expect("request envelope serializes"),
-    };
-    assemble(&envelope, &sections)
+        _ => encode_request_plain(req),
+    }
 }
 
 /// Decode a request payload produced by [`encode_request`].
@@ -128,7 +134,7 @@ pub fn decode_request(payload: &[u8]) -> Result<Request, WireError> {
         // Anything but the one known section id is skipped for forward
         // compatibility.
         if id == SEC_APPEND_ROWS {
-            let rows = decode_rows(&mut Reader::new(bytes))?;
+            let rows = decode_section(bytes, decode_rows)?;
             match req.append.as_mut() {
                 Some(batch) => batch.rows = rows,
                 None => {
@@ -142,14 +148,15 @@ pub fn decode_request(payload: &[u8]) -> Result<Request, WireError> {
     Ok(req)
 }
 
-/// Encode a response as an envelope plus columnar row sections.
+/// Encode a response as an envelope plus columnar row sections. Result
+/// rows go out as their table's stored section, encoded only if the
+/// table has none yet.
 ///
-/// Takes `&mut` to detach the hot row vectors while the envelope
+/// Takes `&mut` to detach the row payloads while the envelope
 /// serializes (they are restored before returning, so the response is
 /// unchanged to the caller) — a multi-hundred-kilobyte result would
 /// otherwise be deep-cloned just to slim it out of the JSON.
 pub fn encode_response(resp: &mut Response) -> Vec<u8> {
-    let mut sections = Vec::new();
     let result_rows = resp
         .result
         .as_mut()
@@ -160,20 +167,23 @@ pub fn encode_response(resp: &mut Response) -> Vec<u8> {
         .as_mut()
         .map(|w| std::mem::take(&mut w.rows))
         .filter(|rows| !rows.is_empty());
+    let window_section = window_rows.as_deref().map(encode_str_rows);
+    let mut sections: Vec<(u8, &[u8])> = Vec::new();
     if let Some(rows) = &result_rows {
-        sections.push((SEC_RESULT_ROWS, encode_str_rows(rows)));
+        sections.push((SEC_RESULT_ROWS, rows.section()));
     }
-    if let Some(rows) = &window_rows {
-        sections.push((SEC_WINDOW_ROWS, encode_str_rows(rows)));
+    if let Some(bytes) = &window_section {
+        sections.push((SEC_WINDOW_ROWS, bytes));
     }
     let envelope = serde_json::to_vec(resp).expect("response envelope serializes");
+    let payload = assemble(&envelope, &sections);
     if let Some(rows) = result_rows {
         resp.result.as_mut().expect("result present").rows = rows;
     }
     if let Some(rows) = window_rows {
         resp.window.as_mut().expect("window present").rows = rows;
     }
-    assemble(&envelope, &sections)
+    payload
 }
 
 /// Decode a response payload produced by [`encode_response`].
@@ -184,7 +194,7 @@ pub fn decode_response(payload: &[u8]) -> Result<Response, WireError> {
     for (id, bytes) in sections {
         match id {
             SEC_RESULT_ROWS => {
-                let rows = decode_str_rows(&mut Reader::new(bytes))?;
+                let rows = RenderedRows::decode(bytes)?;
                 match resp.result.as_mut() {
                     Some(result) => result.rows = rows,
                     None => {
@@ -195,7 +205,7 @@ pub fn decode_response(payload: &[u8]) -> Result<Response, WireError> {
                 }
             }
             SEC_WINDOW_ROWS => {
-                let rows = decode_str_rows(&mut Reader::new(bytes))?;
+                let rows = decode_section(bytes, decode_str_rows)?;
                 match resp.window.as_mut() {
                     Some(window) => window.rows = rows,
                     None => {
@@ -328,7 +338,7 @@ mod tests {
         let req = Request::bare("x", crate::protocol::Verb::Health);
         let envelope = serde_json::to_vec(&req).unwrap();
         let rows = encode_rows(&[Row::new(vec![Value::Int(1)])]);
-        let payload = assemble(&envelope, &[(SEC_APPEND_ROWS, rows)]);
+        let payload = assemble(&envelope, &[(SEC_APPEND_ROWS, &rows)]);
         assert!(decode_request(&payload).is_err());
     }
 
@@ -336,8 +346,126 @@ mod tests {
     fn unknown_sections_are_skipped() {
         let req = Request::query("q", "t", QuerySpec::new(["job"], ["heat"]));
         let envelope = serde_json::to_vec(&req).unwrap();
-        let payload = assemble(&envelope, &[(200, b"future bytes".to_vec())]);
+        let payload = assemble(&envelope, &[(200, b"future bytes")]);
         assert_eq!(decode_request(&payload).unwrap(), req);
+    }
+
+    /// The payload's sections, as `(id, bytes)`, for tests that rebuild
+    /// a payload around doctored sections.
+    fn sections_of(payload: &[u8]) -> (Vec<u8>, Vec<(u8, Vec<u8>)>) {
+        let (envelope, sections) = disassemble(payload).unwrap();
+        let owned = sections.into_iter().map(|(id, b)| (id, b.to_vec()));
+        (envelope.to_vec(), owned.collect())
+    }
+
+    fn with_a_byte_appended(payload: &[u8], section: u8) -> Vec<u8> {
+        let (envelope, mut sections) = sections_of(payload);
+        let bytes = &mut sections
+            .iter_mut()
+            .find(|(id, _)| *id == section)
+            .unwrap()
+            .1;
+        bytes.push(0);
+        let borrowed: Vec<(u8, &[u8])> = sections.iter().map(|(id, b)| (*id, &b[..])).collect();
+        assemble(&envelope, &borrowed)
+    }
+
+    #[test]
+    fn sections_with_trailing_bytes_are_rejected() {
+        let req = Request::append("a-1", "t", sample_batch(8));
+        let payload = encode_request(&req);
+        assert!(decode_request(&payload).is_ok());
+        assert!(decode_request(&with_a_byte_appended(&payload, SEC_APPEND_ROWS)).is_err());
+
+        let mut resp = Response::ok("q-1");
+        resp.result = Some(QueryResult {
+            columns: vec!["job".into()],
+            rows: (0..20).map(|i| vec![format!("job-{i}")]).collect(),
+            row_count: 20,
+            truncated: false,
+            plan_cache_hit: false,
+            result_cache_hit: false,
+            elapsed_ms: 0.5,
+            engine_metrics: None,
+        });
+        let payload = encode_response(&mut resp);
+        assert!(decode_response(&payload).is_ok());
+        assert!(decode_response(&with_a_byte_appended(&payload, SEC_RESULT_ROWS)).is_err());
+
+        let mut frame = Response::ok("s-1");
+        frame.window = Some(sjstream::WindowEmission {
+            query_id: "q".into(),
+            window_id: 1,
+            start_us: 0,
+            end_us: 60_000_000,
+            watermark_us: 61_000_000,
+            re_emission: false,
+            degraded: false,
+            error: None,
+            columns: vec!["heat".into()],
+            rows: vec![vec!["1.5".into()]],
+        });
+        let payload = encode_response(&mut frame);
+        assert!(decode_response(&payload).is_ok());
+        assert!(decode_response(&with_a_byte_appended(&payload, SEC_WINDOW_ROWS)).is_err());
+    }
+
+    #[test]
+    fn plain_blobs_longer_than_their_cells_are_rejected() {
+        // Distinct cells, so the section takes the plain body:
+        // [nrows][ncols][ragged][format][4 cell lengths][blob_len][blob].
+        let cells: Vec<Vec<String>> = (0..2)
+            .map(|i| (0..2).map(|j| format!("cell-{i}-{j}")).collect())
+            .collect();
+        let mut section = encode_str_rows(&cells);
+        assert_eq!(section[9], 0, "expected the plain body");
+        let at = 10 + 4 * 4;
+        let blob_len = u32::from_le_bytes(section[at..at + 4].try_into().unwrap());
+        section[at..at + 4].copy_from_slice(&(blob_len + 1).to_le_bytes());
+        section.push(b'x');
+        let mut resp = Response::ok("q-1");
+        resp.result = Some(QueryResult {
+            columns: vec!["a".into(), "b".into()],
+            rows: cells.into(),
+            row_count: 2,
+            truncated: false,
+            plan_cache_hit: false,
+            result_cache_hit: false,
+            elapsed_ms: 0.5,
+            engine_metrics: None,
+        });
+        let (envelope, _) = sections_of(&encode_response(&mut resp));
+        let payload = assemble(&envelope, &[(SEC_RESULT_ROWS, &section)]);
+        assert!(decode_response(&payload).is_err());
+    }
+
+    #[test]
+    fn result_sections_are_the_tables_stored_bytes() {
+        let table: RenderedRows = (0..40)
+            .map(|i| vec![format!("node{}", i % 3), format!("{i}")])
+            .collect();
+        let mut resp = Response::ok("q-1");
+        resp.result = Some(QueryResult {
+            columns: vec!["node".into(), "n".into()],
+            rows: table.clone(),
+            row_count: 40,
+            truncated: false,
+            plan_cache_hit: true,
+            result_cache_hit: true,
+            elapsed_ms: 0.1,
+            engine_metrics: None,
+        });
+        let payload = encode_response(&mut resp);
+        let (_, sections) = sections_of(&payload);
+        assert_eq!(sections, vec![(SEC_RESULT_ROWS, table.section().to_vec())]);
+        assert_eq!(**table.section(), encode_str_rows(&table)[..]);
+        // The response is unchanged, down to the shared table.
+        assert_eq!(resp.result.as_ref().unwrap().rows, table);
+        // A decoded response keeps the received section and re-encodes
+        // to the same payload.
+        let mut back = decode_response(&payload).unwrap();
+        assert_eq!(back, resp);
+        assert_eq!(encode_response(&mut back), payload);
     }
 
     #[test]

@@ -19,7 +19,7 @@ use sjcore::units::time::{TimeSpan, Timestamp};
 use sjcore::value::Value;
 use sjcore::SjDataset;
 use sjdf::{ClusterSpec, ExecCtx, FaultPlan, FaultSite, RetryPolicy};
-use sjserve::protocol::{codes, QuerySpec, Request, Verb};
+use sjserve::protocol::{codes, QuerySpec, RenderedRows, Request, Verb};
 use sjserve::scheduler::SchedulerConfig;
 use sjserve::service::{QueryService, ServiceConfig};
 
@@ -194,7 +194,7 @@ fn eight_clients_under_task_faults_never_hang() {
         })
         .collect();
 
-    let mut rows_seen: Option<Vec<Vec<String>>> = None;
+    let mut rows_seen: Option<RenderedRows> = None;
     for handle in handles {
         for (resp, elapsed) in handle.join().expect("client thread panicked") {
             assert!(

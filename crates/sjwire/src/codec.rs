@@ -3,8 +3,8 @@
 //! Three codecs, composed by `sjserve::wire` into full messages:
 //!
 //! - **String tables** ([`encode_str_rows`]) for rendered result rows
-//!   (`QueryResult::rows`, `WindowEmission::rows`, both
-//!   `Vec<Vec<String>>`): either plain length-prefixed cells or a
+//!   (the cells of `QueryResult::rows` and `WindowEmission::rows`,
+//!   tables of strings): either plain length-prefixed cells or a
 //!   shared dict of distinct cell strings plus a `u32` code per cell,
 //!   picked adaptively from a sample of the data. Either way the cells
 //!   skip per-cell JSON escape/parse entirely.
@@ -89,6 +89,21 @@ impl<'a> Reader<'a> {
             return Err(WireError::Truncated);
         }
         Ok(())
+    }
+}
+
+/// Decode one whole section with `decode`. A section's length must
+/// equal what its decoder consumed: bytes left unread are an error, so
+/// nothing can hide behind an otherwise valid body.
+pub fn decode_section<'a, T>(
+    bytes: &'a [u8],
+    decode: impl FnOnce(&mut Reader<'a>) -> Result<T, WireError>,
+) -> Result<T, WireError> {
+    let mut r = Reader::new(bytes);
+    let out = decode(&mut r)?;
+    match r.remaining() {
+        0 => Ok(out),
+        n => Err(WireError::Decode(format!("{n} trailing bytes in section"))),
     }
 }
 
@@ -227,6 +242,12 @@ pub fn decode_str_rows(r: &mut Reader) -> Result<Vec<Vec<String>>, WireError> {
                     row.push(cell.to_string());
                 }
                 rows.push(row);
+            }
+            if pos != blob.len() {
+                return Err(WireError::Decode(format!(
+                    "{} blob bytes belong to no cell",
+                    blob.len() - pos
+                )));
             }
             Ok(rows)
         }

@@ -8,8 +8,8 @@ use proptest::prelude::*;
 use sjcore::units::time::{TimeSpan, Timestamp};
 use sjcore::{ColumnarPartition, Row, Value};
 use sjwire::codec::{
-    decode_partition, decode_rows, decode_str_rows, decode_value, encode_partition, encode_rows,
-    encode_str_rows, encode_value, Reader,
+    decode_partition, decode_rows, decode_section, decode_str_rows, decode_value, encode_partition,
+    encode_rows, encode_str_rows, encode_value, Reader,
 };
 use sjwire::{read_frame, write_frame, MsgType};
 
@@ -159,6 +159,33 @@ proptest! {
         prop_assert_eq!(back, rows);
     }
 
+    /// A section decodes only when its decoder consumes every byte: the
+    /// same bytes with one more appended are rejected, for both the
+    /// string-table and the row-batch codec.
+    #[test]
+    fn sections_reject_an_appended_byte(
+        nrows in 0usize..40,
+        ncols in 1usize..6,
+        dict_size in 1u64..200,
+        extra in any::<u8>(),
+    ) {
+        let table: Vec<Vec<String>> = (0..nrows)
+            .map(|i| (0..ncols).map(|j| format!("c{}", (i * ncols + j) as u64 % dict_size)).collect())
+            .collect();
+        let mut buf = encode_str_rows(&table);
+        prop_assert_eq!(decode_section(&buf, decode_str_rows).unwrap(), table);
+        buf.push(extra);
+        prop_assert!(decode_section(&buf, decode_str_rows).is_err());
+
+        let rows: Vec<Row> = (0..nrows)
+            .map(|i| Row::new((0..ncols).map(|j| value_from(j as u8, i as u64)).collect()))
+            .collect();
+        let mut buf = encode_rows(&rows);
+        prop_assert_eq!(decode_section(&buf, decode_rows).unwrap().len(), nrows);
+        buf.push(extra);
+        prop_assert!(decode_section(&buf, decode_rows).is_err());
+    }
+
     /// Frames round-trip over every message type; any single-byte
     /// corruption or truncation is rejected, never mis-decoded.
     #[test]
@@ -197,4 +224,23 @@ proptest! {
         let _ = decode_str_rows(&mut Reader::new(&bytes));
         let _ = decode_value(&mut Reader::new(&bytes));
     }
+}
+
+/// A plain-format string table whose blob is one byte longer than its
+/// cells is malformed, even when the blob length is self-consistent.
+#[test]
+fn plain_blob_longer_than_its_cells_is_rejected() {
+    // Every cell distinct, so the sample picks the plain format.
+    let table: Vec<Vec<String>> = (0..3)
+        .map(|i| (0..2).map(|j| format!("cell-{i}-{j}")).collect())
+        .collect();
+    let mut buf = encode_str_rows(&table);
+    // [nrows u32][ncols u32][ragged u8][format u8][6 cell lengths][blob_len u32][blob]
+    assert_eq!(buf[9], 0, "expected the plain format");
+    let at = 10 + 4 * 6;
+    let blob_len = u32::from_le_bytes(buf[at..at + 4].try_into().unwrap());
+    assert_eq!(buf.len(), at + 4 + blob_len as usize);
+    buf[at..at + 4].copy_from_slice(&(blob_len + 1).to_le_bytes());
+    buf.push(b'x');
+    assert!(decode_str_rows(&mut Reader::new(&buf)).is_err());
 }

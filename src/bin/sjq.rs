@@ -553,7 +553,7 @@ fn run_local(args: &Args) -> Result<(), CliError> {
             .collect();
         let payload = QueryResult {
             columns,
-            rows: rendered,
+            rows: rendered.into(),
             row_count,
             truncated,
             plan_cache_hit: false,
